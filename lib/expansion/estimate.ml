@@ -8,7 +8,6 @@ type t = {
   exact : bool;
   lower : float option;
   fiedler_pair : (float array * float array) option;
-  lambda2 : float option;
 }
 
 (* Cap on parallel local-search starts.  A constant (rather than the
@@ -90,8 +89,8 @@ let ball_candidates_par ?obs ?alive view rng samples ~domains =
   end
 
 (* View-facing slice of the portfolio: BFS-ball candidates evaluated
-   through one generation-stamped scratch.  The spectral sweep and
-   local search stay CSR-only, so this is what large implicit
+   through one generation-stamped scratch.  Local search stays
+   CSR-only, so this and the spectral slice are what large implicit
    topologies (and their Prune finders) use; the node count and degree
    bound both come from O(1) view metadata. *)
 let ball_witness_v ?alive ?rng ?(samples = 8) view objective =
@@ -125,33 +124,39 @@ let ball_witness_v ?alive ?rng ?(samples = 8) view objective =
   end
 
 (* The spectral slice of the portfolio on either {!Gview.t} arm: one
-   method-dispatched solve plus the four rotated sweeps.  This is what
-   gives implicit topologies a spectral path — before the registry the
-   sweep was CSR-only and large implicit views fell back to ball
-   witnesses alone. *)
-let spectral_witness_v ?obs ?alive ?(domains = 1) ?method_ ?gap_hint view objective =
+   fused solve, then sweeps of the Fiedler pair and its two 45-degree
+   rotations.  When the lambda2 eigenspace is degenerate (square
+   meshes, tori) the single power-iteration vector is an arbitrary
+   rotation of the axis modes, and one of these four recovers a
+   near-axis cut.  The sweeps are pure and come back in index order,
+   so the parallel fan-out returns exactly the sequential result.  All
+   four are returned: multi-start refinement draws on them. *)
+let spectral_sweeps ~obs ?alive ~domains ?warm view objective =
+  let spectral, f2 = Spectral.solve_v ~obs ?alive ~domains ?warm view in
+  let f1 = spectral.Spectral.fiedler in
+  let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
+  let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
+  let sweeps =
+    Fn_parallel.Par.map ~obs ~domains
+      (fun score -> Sweep.best_prefix_v ?alive view ~score objective)
+      scores
+  in
+  (spectral, (f1, f2), sweeps)
+
+let best_sweep sweeps = Array.fold_left Cut.better sweeps.(0) sweeps
+
+let spectral_witness_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) view objective =
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Gview.num_nodes view
   in
   if total < 2 then None
   else begin
-    let spectral, f2 = Spectral.solve_v ?obs ?alive ~domains ?method_ ?gap_hint view in
-    let f1 = spectral.Spectral.fiedler in
-    let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
-    let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
-    let best =
-      Array.fold_left
-        (fun acc score ->
-          let cut = Sweep.best_prefix_v ?alive view ~score objective in
-          match acc with Some b -> Some (Cut.better b cut) | None -> Some cut)
-        None scores
-    in
-    Option.map (fun cut -> (cut, spectral.Spectral.lambda2, (f1, f2))) best
+    let _, _, sweeps = spectral_sweeps ~obs ?alive ~domains view objective in
+    Some (best_sweep sweeps)
   end
 
 let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
-    ?(local_search_passes = 4) ?(force_heuristic = false) ?warm ?method_ ?gap_hint g
-    objective =
+    ?(local_search_passes = 4) ?(force_heuristic = false) ?warm g objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Graph.num_nodes g
@@ -173,7 +178,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
     match disconnected_witness ?alive g with
     | Some w ->
       { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0;
-        fiedler_pair = None; lambda2 = None }
+        fiedler_pair = None }
     | None ->
     let use_exact =
       (not force_heuristic) && Option.is_none alive && Graph.num_nodes g <= Exact.max_nodes
@@ -185,28 +190,13 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
         | Cut.Edge -> Exact.edge_expansion g
       in
       { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = true;
-        lower = Some cut.Cut.value; fiedler_pair = None; lambda2 = None }
+        lower = Some cut.Cut.value; fiedler_pair = None }
     end
     else begin
-      (* one fused spectral solve: the lambda2 Fiedler vector IS the
-         first vector of the pair, so Spectral.solve shares the power
-         iteration instead of running it twice *)
-      let spectral, f2 = Spectral.solve ~obs ?alive ~domains ?warm ?method_ ?gap_hint g in
-      (* sweep the Fiedler pair and two 45-degree rotations: when the
-         lambda2 eigenspace is degenerate (square meshes, tori) the
-         single power-iteration vector is an arbitrary rotation of the
-         axis modes, and one of these four recovers a near-axis cut *)
-      let f1 = spectral.Spectral.fiedler in
-      let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
-      let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
-      (* the sweeps are pure and merged lowest-index-first, so the
-         parallel fan-out returns exactly the sequential fold *)
-      let sweeps =
-        Fn_parallel.Par.map ~obs ~domains
-          (fun score -> Sweep.best_prefix ?alive g ~score objective)
-          scores
+      let spectral, pair, sweeps =
+        spectral_sweeps ~obs ?alive ~domains ?warm (Gview.Csr g) objective
       in
-      let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
+      let sweep = best_sweep sweeps in
       let balls =
         let view = Gview.Csr g in
         if domains <= 1 then ball_candidates ?alive view rng samples
@@ -255,7 +245,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
         | Cut.Node -> None
       in
       { value = refined.Cut.value; witness = refined.Cut.set; objective; exact = false;
-        lower; fiedler_pair = Some (f1, f2); lambda2 = Some spectral.Spectral.lambda2 }
+        lower; fiedler_pair = Some pair }
     end
   in
   if on then

@@ -3,43 +3,19 @@ open Fn_graph
 type result = { lambda2 : float; fiedler : float array; iterations : int }
 
 module Method = struct
-  type t = Auto | Power | Lanczos | Shift_invert
+  type t = Auto | Power | Lanczos
 
-  let to_string = function
-    | Auto -> "auto"
-    | Power -> "power"
-    | Lanczos -> "lanczos"
-    | Shift_invert -> "shift-invert"
-
-  let of_string = function
-    | "auto" -> Some Auto
-    | "power" -> Some Power
-    | "lanczos" -> Some Lanczos
-    | "shift-invert" | "shift_invert" -> Some Shift_invert
-    | _ -> None
-
-  let all = [ Auto; Power; Lanczos; Shift_invert ]
+  let to_string = function Auto -> "auto" | Power -> "power" | Lanczos -> "lanczos"
 
   (* Auto policy: below this node count the fused power iteration is
      the reference and the matvec is cheap enough that Krylov
      bookkeeping does not pay; above it Lanczos converges in an order
      of magnitude fewer operator applications on the collapsed-gap
-     graphs Prune produces.  A [gap_hint] (a previous lambda2, e.g.
-     from the online warm cache) below [shift_invert_gap] signals a
-     near-disconnected mask, where the inverted operator separates the
-     near-null cluster from the bulk. *)
+     graphs Prune produces. *)
   let power_max_nodes = 50_000
 
-  let shift_invert_gap = 1e-6
-
-  let select ~n_alive ?gap_hint = function
-    | Auto ->
-      if n_alive < power_max_nodes then Power
-      else begin
-        match gap_hint with
-        | Some h when h < shift_invert_gap -> Shift_invert
-        | _ -> Lanczos
-      end
+  let select ~n_alive = function
+    | Auto -> if n_alive < power_max_nodes then Power else Lanczos
     | m -> m
 end
 
@@ -73,7 +49,11 @@ let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ?start ~deflate_a
        iterations := it;
        apply y z;
        Spectral_op.deflate op basis z;
-       ignore (Spectral_op.normalize op z);
+       (* M annihilated the deflated iterate (y is already an
+          eigenvector for 0, e.g. the antisymmetric mode of a single
+          edge): normalizing z would blow round-off up into the
+          trivial direction, so keep y *)
+       if Spectral_op.normalize op z <= 1e-12 then raise Exit;
        let diff = ref 0.0 in
        for i = 0 to n - 1 do
          diff := !diff +. abs_float (z.(i) -. y.(i))
@@ -195,7 +175,7 @@ let lanczos_stall_window = 12
 
 let lanczos_stall_factor = 0.5
 
-(* Top-2 eigenpairs of the operator given by [apply_op] restricted to
+(* Top-2 eigenpairs of the operator given by [apply] restricted to
    the complement of the trivial vector.  Bounded memory: the Krylov
    basis is capped at [lanczos_max_basis] vectors and thick-restarted
    keeping the best [lanczos_keep] Ritz vectors plus the residual
@@ -204,10 +184,9 @@ let lanczos_stall_factor = 0.5
    the locked Ritz block and the two recurrence partners, with a
    DGKS-gated second pass — full-basis work happens only on the
    arrowhead column right after a restart, where the exact-arithmetic
-   couplings are genuinely dense.  [applies] is bumped by [apply_op]
-   itself, so inner solves (shift-invert CG) charge the same
-   budget. *)
-let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
+   couplings are genuinely dense.  At most [max_applies] operator
+   applications are spent. *)
+let lanczos_top2 op ~apply ~max_applies ~tol ?start () =
   let n = op.Spectral_op.n in
   let dim = max 1 (Spectral_op.alive_count op) in
   let max_basis = max 3 (min lanczos_max_basis dim) in
@@ -215,6 +194,7 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
   let q = Array.make max_basis [||] in
   let tm = Array.make_matrix max_basis max_basis 0.0 in
   let phase = ref 1 in
+  let applies = ref 0 in
   let zeros () = Array.make n 0.0 in
   let cold () =
     let y = Spectral_op.cold_start op ~phase:!phase in
@@ -322,7 +302,8 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
     while (not !converged) && (not !exhausted) && !applies < max_applies do
       let j = !m - 1 in
       let w = zeros () in
-      apply_op q.(j) w;
+      apply q.(j) w;
+      incr applies;
       (* Selective reorthogonalization.  In exact arithmetic w = M q_j
          is already orthogonal to all basis vectors except the two
          recurrence partners q_j, q_{j-1} — plus the locked Ritz block
@@ -331,8 +312,8 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
          the locked block (drift against converged Ritz directions is
          the classic ghost-eigenvalue source, so it is policed every
          step), and the recurrence partners; intermediate basis
-         vectors are skipped — their coupling is O(eps) drift that a
-         32-step cycle keeps below semi-orthogonality.  The DGKS
+         vectors are skipped — their coupling is O(eps) drift that the
+         16-vector restart cycle keeps below semi-orthogonality.  The DGKS
          cancellation test gates a second pass over the same set.
          Skipped couplings enter T as their exact-arithmetic zeros. *)
       let h = Array.make !m 0.0 in
@@ -429,138 +410,52 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
     { theta1 = vals.(i1); py1; py2; applies = !applies }
   end
 
-(* ---- shift-invert: Lanczos on (sigma I - M)^{-1} via matrix-free CG ---- *)
-
-let shift_delta = 0.01
-
-let cg_rtol = 1e-10
-
-let cg_max_iter = 1000
-
-(* Solve (sigma I - M) x = b with conjugate gradients.  sigma > 2
-   makes the system positive definite on the whole space; Krylov
-   vectors live in the trivial-vector complement, which the operator
-   preserves, so no per-iteration deflation is needed beyond guarding
-   the right-hand side.  Deterministic: fixed iteration order, no
-   randomness, and the matvec itself is bit-stable across domains. *)
-let cg_solve op ~apply ~sigma ~applies b x =
-  let n = op.Spectral_op.n in
-  Array.fill x 0 n 0.0;
-  let r = Array.copy b in
-  Spectral_op.deflate op [] r;
-  let p = Array.copy r in
-  let mp = Array.make n 0.0 in
-  let rs = ref (Spectral_op.dot op r r) in
-  let b_norm = sqrt !rs in
-  if b_norm > 0.0 then begin
-    let it = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !it < cg_max_iter do
-      incr it;
-      apply p mp;
-      incr applies;
-      for i = 0 to n - 1 do
-        mp.(i) <- (sigma *. p.(i)) -. mp.(i)
-      done;
-      let denom = Spectral_op.dot op p mp in
-      if denom <= 0.0 then continue_ := false
-      else begin
-        let alpha = !rs /. denom in
-        for i = 0 to n - 1 do
-          x.(i) <- x.(i) +. (alpha *. p.(i));
-          r.(i) <- r.(i) -. (alpha *. mp.(i))
-        done;
-        let rs' = Spectral_op.dot op r r in
-        if sqrt rs' <= cg_rtol *. b_norm then continue_ := false
-        else begin
-          let beta = rs' /. !rs in
-          for i = 0 to n - 1 do
-            p.(i) <- r.(i) +. (beta *. p.(i))
-          done
-        end;
-        rs := rs'
-      end
-    done
-  end
-
 (* ---- the backend registry ---- *)
 
-(* Uniform backend contract: the full solve (lambda2, both y-space
-   vectors, operator applications).  Power remains the bit-exact
-   reference; Lanczos extracts the pair from one Krylov basis;
-   shift-invert runs the same Lanczos on the inverted operator, whose
-   spectrum maps lambda -> 1/(delta + lambda) and so separates a
-   collapsed bottom cluster.  All are deterministic (no Fn_prng state
-   is drawn) and bit-stable across ?domains. *)
-type solved = {
-  s_lambda2 : float;
-  s_f1 : float array;
-  s_f2 : float array;
-  s_it_first : int;  (** iterations attributed to the first vector *)
-  s_it_total : int;  (** total operator applications *)
-}
-
-let solve_power op ~max_iter ~tol ~warm =
+(* Uniform backend contract: the {!result} (iterations attributed to
+   the first vector), the second y-space embedding, and the total
+   operator applications.  Power remains the bit-exact reference;
+   Lanczos extracts the pair from one Krylov basis.  Both are
+   deterministic (no Fn_prng state is drawn) and bit-stable across
+   ?domains.  [first_only] skips Power's second, deflated iteration
+   when the caller needs only lambda2 and the Fiedler vector (the
+   second embedding is then empty); Lanczos gets the pair from one
+   basis either way. *)
+let solve_power op ~first_only ~max_iter ~tol ~warm =
   let start1, start2 =
     match warm with None -> (None, None) | Some (x1, x2) -> (Some x1, Some x2)
   in
   Spectral_op.with_apply op (fun apply ->
-      let lambda2, y1, f1, it1 =
+      let lambda2, y1, fiedler, it1 =
         power_iteration op ~apply ~max_iter ~tol ?start:start1 ~deflate_against:[] ()
       in
-      let _, _, f2, it2 =
-        power_iteration op ~apply ~max_iter ~tol ?start:start2 ~deflate_against:[ y1 ] ()
+      let f2, it2 =
+        if first_only then ([||], 0)
+        else begin
+          let _, _, f2, it2 =
+            power_iteration op ~apply ~max_iter ~tol ?start:start2 ~deflate_against:[ y1 ] ()
+          in
+          (f2, it2)
+        end
       in
-      {
-        s_lambda2 = lambda2;
-        s_f1 = f1;
-        s_f2 = f2;
-        s_it_first = it1;
-        s_it_total = it1 + it2;
-      })
+      ({ lambda2; fiedler; iterations = it1 }, f2, it1 + it2))
 
 let solve_lanczos op ~max_iter ~tol ~warm =
   let start = match warm with Some (x1, _) -> Some x1 | None -> None in
   Spectral_op.with_apply_fast op (fun apply ->
-      let applies = ref 0 in
-      let apply_op src dst =
-        apply src dst;
-        incr applies
-      in
-      let p =
-        lanczos_top2 op ~apply_op ~applies ~max_applies:(2 * max_iter) ~tol ?start ()
-      in
-      {
-        s_lambda2 = max 0.0 (2.0 -. p.theta1);
-        s_f1 = Spectral_op.embed op p.py1;
-        s_f2 = Spectral_op.embed op p.py2;
-        s_it_first = p.applies;
-        s_it_total = p.applies;
-      })
+      let p = lanczos_top2 op ~apply ~max_applies:(2 * max_iter) ~tol ?start () in
+      ( {
+          lambda2 = max 0.0 (2.0 -. p.theta1);
+          fiedler = Spectral_op.embed op p.py1;
+          iterations = p.applies;
+        },
+        Spectral_op.embed op p.py2,
+        p.applies ))
 
-let solve_shift_invert op ~max_iter ~tol ~warm =
-  let start = match warm with Some (x1, _) -> Some x1 | None -> None in
-  let sigma = 2.0 +. shift_delta in
-  Spectral_op.with_apply_fast op (fun apply ->
-      let applies = ref 0 in
-      let apply_op src dst = cg_solve op ~apply ~sigma ~applies src dst in
-      let p =
-        lanczos_top2 op ~apply_op ~applies ~max_applies:(2 * max_iter) ~tol ?start ()
-      in
-      let lam theta = if theta > 0.0 then max 0.0 ((1.0 /. theta) -. shift_delta) else 2.0 in
-      {
-        s_lambda2 = lam p.theta1;
-        s_f1 = Spectral_op.embed op p.py1;
-        s_f2 = Spectral_op.embed op p.py2;
-        s_it_first = p.applies;
-        s_it_total = p.applies;
-      })
-
-let run_method method_ op ~max_iter ~tol ~warm =
+let run_method method_ op ~first_only ~max_iter ~tol ~warm =
   match method_ with
-  | Method.Power | Method.Auto -> solve_power op ~max_iter ~tol ~warm
+  | Method.Power | Method.Auto -> solve_power op ~first_only ~max_iter ~tol ~warm
   | Method.Lanczos -> solve_lanczos op ~max_iter ~tol ~warm
-  | Method.Shift_invert -> solve_shift_invert op ~max_iter ~tol ~warm
 
 let iterations_histogram () =
   Fn_obs.Metrics.histogram
@@ -569,63 +464,35 @@ let iterations_histogram () =
 
 (* ---- public entry points ---- *)
 
-let lambda2_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?(method_ = Method.Auto) ?gap_hint view =
+(* The one traced runner behind {!lambda2_v} and {!solve_v}: build the
+   operator, resolve the method, dispatch, and report the span and the
+   iteration histogram (both count every operator application). *)
+let traced_solve ~span ~first_only ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1)
+    ?(max_iter = 1000) ?(tol = 1e-9) ?warm ?(method_ = Method.Auto) view =
   let on = Fn_obs.Sink.enabled obs in
-  let sp = if on then Fn_obs.Span.enter obs "spectral.lambda2" else Fn_obs.Span.null in
+  let sp = if on then Fn_obs.Span.enter obs span else Fn_obs.Span.null in
   let op = Spectral_op.create ?alive ~domains view in
-  let m = Method.select ~n_alive:(Spectral_op.alive_count op) ?gap_hint method_ in
-  let lambda2, fiedler, iterations =
-    match m with
-    | Method.Power | Method.Auto ->
-      Spectral_op.with_apply op (fun apply ->
-          let lambda2, _, fiedler, iterations =
-            power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] ()
-          in
-          (lambda2, fiedler, iterations))
-    | Method.Lanczos | Method.Shift_invert ->
-      let s = run_method m op ~max_iter ~tol ~warm:None in
-      (s.s_lambda2, s.s_f1, s.s_it_total)
-  in
+  let m = Method.select ~n_alive:(Spectral_op.alive_count op) method_ in
+  let r, f2, total = run_method m op ~first_only ~max_iter ~tol ~warm in
   if on then begin
     Fn_obs.Span.exit sp
       ~fields:
         [
-          ("lambda2", Fn_obs.Sink.Float lambda2);
-          ("iterations", Fn_obs.Sink.Int iterations);
+          ("lambda2", Fn_obs.Sink.Float r.lambda2);
+          ("iterations", Fn_obs.Sink.Int total);
           ("method", Fn_obs.Sink.Str (Method.to_string m));
         ];
-    Fn_obs.Metrics.observe (iterations_histogram ()) (float_of_int iterations)
+    Fn_obs.Metrics.observe (iterations_histogram ()) (float_of_int total)
   end;
-  { lambda2; fiedler; iterations }
+  (r, f2)
 
-let lambda2 ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint g =
-  lambda2_v ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint (Gview.Csr g)
+let lambda2_v ?obs ?alive ?domains ?max_iter ?tol ?method_ view =
+  fst
+    (traced_solve ~span:"spectral.lambda2" ~first_only:true ?obs ?alive ?domains ?max_iter
+       ?tol ?method_ view)
 
-let fiedler_pair_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?(method_ = Method.Auto) ?gap_hint view =
-  let on = Fn_obs.Sink.enabled obs in
-  let sp = if on then Fn_obs.Span.enter obs "spectral.fiedler_pair" else Fn_obs.Span.null in
-  let op = Spectral_op.create ?alive ~domains view in
-  let m = Method.select ~n_alive:(Spectral_op.alive_count op) ?gap_hint method_ in
-  let f1, f2, total =
-    match m with
-    | Method.Power | Method.Auto ->
-      Spectral_op.with_apply op (fun apply ->
-          let _, y1, f1, it1 = power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] () in
-          let _, _, f2, it2 =
-            power_iteration op ~apply ~max_iter ~tol ~deflate_against:[ y1 ] ()
-          in
-          (f1, f2, it1 + it2))
-    | Method.Lanczos | Method.Shift_invert ->
-      let s = run_method m op ~max_iter ~tol ~warm:None in
-      (s.s_f1, s.s_f2, s.s_it_total)
-  in
-  if on then Fn_obs.Span.exit sp ~fields:[ ("iterations", Fn_obs.Sink.Int total) ];
-  (f1, f2)
-
-let fiedler_pair ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint g =
-  fiedler_pair_v ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint (Gview.Csr g)
+let lambda2 ?obs ?alive ?domains ?max_iter ?tol ?method_ g =
+  lambda2_v ?obs ?alive ?domains ?max_iter ?tol ?method_ (Gview.Csr g)
 
 (* How far an embedding is from being an eigenvector of 2I - L on the
    current (alive-restricted) operator: lift x to y-space, deflate the
@@ -658,27 +525,12 @@ let residual_v ?alive view x =
 
 let residual ?alive g x = residual_v ?alive (Gview.Csr g) x
 
-let solve_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?warm ?(method_ = Method.Auto) ?gap_hint view =
-  let on = Fn_obs.Sink.enabled obs in
-  let sp = if on then Fn_obs.Span.enter obs "spectral.solve" else Fn_obs.Span.null in
-  let op = Spectral_op.create ?alive ~domains view in
-  let m = Method.select ~n_alive:(Spectral_op.alive_count op) ?gap_hint method_ in
-  let s = run_method m op ~max_iter ~tol ~warm in
-  if on then begin
-    Fn_obs.Span.exit sp
-      ~fields:
-        [
-          ("lambda2", Fn_obs.Sink.Float s.s_lambda2);
-          ("iterations", Fn_obs.Sink.Int s.s_it_total);
-          ("method", Fn_obs.Sink.Str (Method.to_string m));
-        ];
-    Fn_obs.Metrics.observe (iterations_histogram ()) (float_of_int s.s_it_total)
-  end;
-  ({ lambda2 = s.s_lambda2; fiedler = s.s_f1; iterations = s.s_it_first }, s.s_f2)
+let solve_v ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ view =
+  traced_solve ~span:"spectral.solve" ~first_only:false ?obs ?alive ?domains ?max_iter ?tol
+    ?warm ?method_ view
 
-let solve ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ ?gap_hint g =
-  solve_v ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ ?gap_hint (Gview.Csr g)
+let solve ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ g =
+  solve_v ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ (Gview.Csr g)
 
 let cheeger_lower r = r.lambda2 /. 2.0
 

@@ -10,9 +10,8 @@ open Fn_graph
     graph, edge expansion = φ·d on balanced cuts, giving cheap
     two-sided bounds that our tests check against {!Exact}.
 
-    Since this layer grew a method registry, every entry point is a
-    front for one of three backends over the same shared operator
-    ({!Spectral_op}):
+    Every entry point is a front for one of two backends over the same
+    shared operator ({!Spectral_op}):
 
     - {!Method.Power} — the historical fused power iteration, kept
       bit-exact; the reference every other method is differential-
@@ -23,12 +22,6 @@ open Fn_graph
       applications where power iteration needs O(1/gap).  This is the
       method that survives the near-disconnected masks {!Prune}
       manufactures.
-    - {!Method.Shift_invert} — the same Lanczos on (σI - M)^{-1} with
-      σ just above the trivial eigenvalue, each application a
-      matrix-free conjugate-gradient solve.  The inversion maps a
-      collapsed bottom cluster to the well-separated top of the
-      inverted spectrum; worth it only when a gap hint says the mask
-      is nearly disconnected.
 
     All methods are deterministic (the only "randomness" is a fixed
     cosine start — no {!Fn_prng} state is drawn) and bit-stable
@@ -36,39 +29,26 @@ open Fn_graph
 
 (** Backend registry for the spectral solvers. *)
 module Method : sig
-  type t = Auto | Power | Lanczos | Shift_invert
+  type t = Auto | Power | Lanczos
 
   val to_string : t -> string
-
-  val of_string : string -> t option
-  (** Inverse of {!to_string}; also accepts ["shift_invert"]. *)
-
-  val all : t list
 
   val power_max_nodes : int
   (** [Auto] resolves to [Power] strictly below this alive-node count
       (50_000), which keeps every default experiment byte-identical
       to the pre-registry code. *)
 
-  val shift_invert_gap : float
-  (** [Auto] with a [gap_hint] below this (1e-6) resolves to
-      [Shift_invert]: the mask is near-disconnected enough that
-      inverting the operator pays for the inner solves. *)
-
-  val select : n_alive:int -> ?gap_hint:float -> t -> t
-  (** Resolve [Auto] per graph size and optional spectral-gap hint (a
-      previous lambda2 for a nearby mask, e.g. from the online warm
-      cache); concrete methods pass through unchanged.  Never returns
-      [Auto]. *)
+  val select : n_alive:int -> t -> t
+  (** Resolve [Auto] per alive-node count; concrete methods pass
+      through unchanged.  Never returns [Auto]. *)
 end
 
 type result = {
   lambda2 : float;  (** algebraic connectivity of the normalized Laplacian *)
   fiedler : float array;  (** the embedding x = D^{-1/2} y₂, zero for dead nodes *)
   iterations : int;
-      (** operator applications consumed: power-iteration steps for
-          [Power], total matvecs (including inner CG) for the Krylov
-          methods *)
+      (** operator applications consumed: power-iteration steps of
+          the first vector for [Power], total matvecs for [Lanczos] *)
 }
 
 val lambda2 :
@@ -78,7 +58,6 @@ val lambda2 :
   ?max_iter:int ->
   ?tol:float ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Graph.t ->
   result
 (** λ₂ and the Fiedler embedding of the alive-restricted operator.
@@ -103,42 +82,11 @@ val lambda2_v :
   ?max_iter:int ->
   ?tol:float ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Gview.t ->
   result
 (** {!lambda2} over any {!Gview.t}: implicit topologies get the same
     spectral path, paying one neighbor-closure call per row per
     matvec instead of a CSR scan. *)
-
-val fiedler_pair :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?method_:Method.t ->
-  ?gap_hint:float ->
-  Graph.t ->
-  float array * float array
-(** Two orthogonal embeddings spanning the bottom of the spectrum:
-    the Fiedler vector and a second vector deflated against it.  When
-    λ₂ is (near-)degenerate — e.g. the row and column modes of a
-    square mesh — a single power-iteration vector is an arbitrary mix
-    of the eigenspace; sweeping several rotations of the pair recovers
-    the axis-aligned cuts (see {!Estimate}).  The Krylov backends get
-    both vectors from one basis; [Power] runs its two deflated
-    iterations exactly as before. *)
-
-val fiedler_pair_v :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?method_:Method.t ->
-  ?gap_hint:float ->
-  Gview.t ->
-  float array * float array
 
 val solve :
   ?obs:Fn_obs.Sink.t ->
@@ -148,23 +96,25 @@ val solve :
   ?tol:float ->
   ?warm:float array * float array ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Graph.t ->
   result * float array
-(** [lambda2] and [fiedler_pair] fused: the Fiedler vector of the
-    result doubles as the first vector of the pair, so one call does
-    the work of two.  Returns the {!result} and the second, deflated
-    embedding.  Without [warm] and under the [Power] resolution,
-    bit-identical to calling {!lambda2} and {!fiedler_pair}
-    separately.
+(** {!lambda2} plus a second embedding: returns the {!result} and a
+    second vector deflated against the Fiedler vector.  The two span
+    the bottom of the spectrum: when λ₂ is (near-)degenerate — e.g.
+    the row and column modes of a square mesh — a single
+    power-iteration vector is an arbitrary mix of the eigenspace, and
+    sweeping rotations of the pair recovers the axis-aligned cuts (see
+    {!Estimate}).  [Power] runs a second deflated iteration; [Lanczos]
+    gets both vectors from one basis.  Without [warm], the {!result}
+    is bit-identical to {!lambda2} on the same arguments.
 
     [warm] seeds the solve with a previous embedding pair (e.g. the
     output of an earlier [solve] on a nearby alive mask) instead of
     the deterministic cosine start; when the mask barely moved this
     converges in a handful of iterations.  Warm starts are
     method-aware: [Power] seeds its two iterations with the pair,
-    the Krylov methods seed the first basis vector with the lifted
-    first embedding.  A warm vector that deflates to (near) zero
+    [Lanczos] seeds its first basis vector with the lifted first
+    embedding.  A warm vector that deflates to (near) zero
     under the new mask falls back to the cold start.  Warm results
     are {e not} bit-identical to cold ones — callers needing exact
     reproducibility must stay cold (see {!residual} for the check
@@ -178,7 +128,6 @@ val solve_v :
   ?tol:float ->
   ?warm:float array * float array ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Gview.t ->
   result * float array
 

@@ -10,8 +10,8 @@ open Fn_graph
     This module owns the degree/mask setup, the trivial-vector
     deflation, the (optionally pool-chunked) matvec and the small
     vector kit (dot/axpy-free deflate, normalize, deterministic cold
-    start, x-space lift/embed) so that Power, Lanczos, shift-invert
-    and {!Spectral.residual} all agree on the operator bit for bit —
+    start, x-space lift/embed) so that Power, Lanczos and
+    {!Spectral.residual} all agree on the operator bit for bit —
     previously each of them re-derived this setup by hand.
 
     The operator is {!Gview.t}-capable: the CSR arm keeps the original
@@ -68,8 +68,8 @@ val with_apply_fast : t -> ((float array -> float array -> unit) -> 'a) -> 'a
     except that dead neighbors contribute an explicit [+. 0.] instead
     of being branched over — identical results everywhere except the
     sign of a zero in pathological cancellation cases, which is why
-    the bit-exact Power reference stays on {!with_apply} and only the
-    Krylov backends (with no historical byte contract) use this.
+    the bit-exact Power reference stays on {!with_apply} and only
+    Lanczos (with no historical byte contract) uses this.
     Same chunked-parallel determinism guarantee: bit-identical for
     every [domains] count. *)
 

@@ -17,23 +17,8 @@ val best_prefix_v :
 (** {!best_prefix} over any {!Gview.t}; the view is matched once and
     the sweep drives its neighbor iterator. *)
 
-val spectral_cut :
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?method_:Spectral.Method.t ->
-  Graph.t ->
-  Cut.objective ->
-  Cut.t
-(** Convenience: Fiedler vector + {!best_prefix}.  [domains] and
-    [method_] are forwarded to {!Spectral.lambda2} — the matvec
-    dominates this path, and before [domains] was threaded through
-    here the spectral solve silently serialized inside
-    otherwise-parallel callers. *)
-
-val spectral_cut_v :
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?method_:Spectral.Method.t ->
-  Gview.t ->
-  Cut.objective ->
-  Cut.t
+val spectral_cut : ?alive:Bitset.t -> ?domains:int -> Graph.t -> Cut.objective -> Cut.t
+(** Convenience: Fiedler vector + {!best_prefix}.  [domains] is
+    forwarded to {!Spectral.lambda2} — the matvec dominates this path,
+    and before [domains] was threaded through here the spectral solve
+    silently serialized inside otherwise-parallel callers. *)

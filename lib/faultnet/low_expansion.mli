@@ -21,25 +21,14 @@ type t_v = alive:Bitset.t -> Gview.t -> threshold:float -> Bitset.t option
 val exact_limit : int
 (** Fragment size up to which the exact finder is used (18). *)
 
-val default :
-  ?rng:Rng.t ->
-  ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
-  Fn_expansion.Cut.objective ->
-  t
+val default : ?rng:Rng.t -> ?domains:int -> Fn_expansion.Cut.objective -> t
 (** Portfolio finder: disconnected fragments yield a small component
     immediately; fragments of at most {!exact_limit} alive nodes are
     solved exactly; larger ones use the heuristic estimator.
-    [domains] and [method_] (the spectral backend; default [Auto])
-    are forwarded to {!Fn_expansion.Estimate.run} (defaults:
+    [domains] is forwarded to {!Fn_expansion.Estimate.run} (default:
     sequential, byte-reproducible). *)
 
-val default_v :
-  ?rng:Rng.t ->
-  ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
-  Fn_expansion.Cut.objective ->
-  t_v
+val default_v : ?rng:Rng.t -> ?domains:int -> Fn_expansion.Cut.objective -> t_v
 (** {!default} over views.  The CSR arm delegates to {!default}
     unchanged (byte-identical results).  On the implicit arm large
     fragments run the BFS-ball slice plus — now that the spectral

@@ -16,9 +16,7 @@ open Fn_graph
       stay under [residual_tol] (cold fallback otherwise — a stale
       second vector must not ride through on the first one's health).
       Warm starts are method-aware: the cached pair seeds whichever
-      backend {!Fn_expansion.Spectral.Method.select} picks, and the
-      cached lambda2 rides along as the gap hint steering that
-      selection.  Faster under drift but history-dependent — the
+      backend {!Fn_expansion.Spectral.Method.select} picks.  Faster under drift but history-dependent — the
       periodic audit reconciles it back to the cold reference and
       counts divergences.
 
@@ -32,16 +30,8 @@ val mode_of_string : string -> mode option
 
 type t
 
-val create :
-  ?mode:mode ->
-  ?residual_tol:float ->
-  ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
-  int ->
-  t
-(** [create seed].  Defaults: {!Exact}, [residual_tol] 0.25,
-    [method_] [Auto] (resolved per mask by
-    {!Fn_expansion.Spectral.Method.select}). *)
+val create : ?mode:mode -> ?residual_tol:float -> ?domains:int -> int -> t
+(** [create seed].  Defaults: {!Exact}, [residual_tol] 0.25. *)
 
 val mode : t -> mode
 
@@ -52,13 +42,7 @@ val warm_hits : t -> int
 val cold_falls : t -> int
 (** Warm-mode starts accepted / rejected by the residual gate. *)
 
-val reference :
-  seed:int ->
-  ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
-  Gview.t ->
-  kept:Bitset.t ->
-  float
+val reference : seed:int -> ?domains:int -> Gview.t -> kept:Bitset.t -> float
 (** The history-free alpha of a mask — node expansion estimate with a
     fresh rng derived from [seed].  Fewer than 2 survivors yield 0;
     an implicit view with no ball witness yields [infinity].  The

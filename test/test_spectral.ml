@@ -4,26 +4,60 @@ open Testutil
 
 let pi = 4.0 *. atan 1.0
 
+(* Closed-form oracles, run over every backend: none of these share
+   code with the solvers they check. *)
+let methods = [ Spectral.Method.Power; Spectral.Method.Lanczos ]
+
+let check_lambda2 ?alive ~eps name g expected =
+  List.iter
+    (fun m ->
+      let r = Spectral.lambda2 ?alive ~method_:m g in
+      check_float_eps eps
+        (Printf.sprintf "%s (%s)" name (Spectral.Method.to_string m))
+        expected r.Spectral.lambda2)
+    methods
+
+let test_lambda2_hypercube () =
+  (* Q_d: lambda2 = 2/d, with multiplicity d *)
+  List.iter
+    (fun d ->
+      check_lambda2 ~eps:1e-6
+        (Printf.sprintf "lambda2 of Q%d" d)
+        (Fn_topology.Hypercube.graph d) (2.0 /. float_of_int d))
+    [ 2; 3; 4; 5; 6 ]
+
 let test_lambda2_cycle () =
   (* normalized Laplacian of C_n has lambda2 = 1 - cos(2 pi / n) *)
   List.iter
     (fun n ->
-      let r = Spectral.lambda2 (Fn_topology.Basic.cycle n) in
-      let expected = 1.0 -. cos (2.0 *. pi /. float_of_int n) in
-      check_float_eps 1e-4
+      check_lambda2 ~eps:1e-4
         (Printf.sprintf "lambda2 of C%d" n)
-        expected r.Spectral.lambda2)
+        (Fn_topology.Basic.cycle n)
+        (1.0 -. cos (2.0 *. pi /. float_of_int n)))
     [ 6; 10; 16 ]
 
 let test_lambda2_complete () =
-  (* K_n: lambda2 = n/(n-1) *)
-  let r = Spectral.lambda2 (Fn_topology.Basic.complete 10) in
-  check_float_eps 1e-4 "lambda2 of K10" (10.0 /. 9.0) r.Spectral.lambda2
+  (* K_n: lambda2 = n/(n-1); K_2's spectrum is {0, 2} *)
+  List.iter
+    (fun n ->
+      check_lambda2 ~eps:1e-6
+        (Printf.sprintf "lambda2 of K%d" n)
+        (Fn_topology.Basic.complete n)
+        (float_of_int n /. float_of_int (n - 1)))
+    [ 2; 3; 5; 10 ]
 
 let test_lambda2_disconnected_is_zero () =
   let g = Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
-  let r = Spectral.lambda2 g in
-  check_float_eps 1e-6 "disconnected lambda2 ~ 0" 0.0 r.Spectral.lambda2
+  check_lambda2 ~eps:1e-6 "disconnected lambda2" g 0.0
+
+let test_lambda2_tiny_alive_sets () =
+  (* the documented conventions for n_alive in {0, 1, 2}: no alive mass
+     gives 2, a lone alive node is an isolated lambda = 1 row, and two
+     adjacent alive nodes are a K_2 *)
+  let g = Fn_topology.Basic.cycle 8 in
+  check_lambda2 ~eps:1e-12 ~alive:(Bitset.create 8) "0 alive" g 2.0;
+  check_lambda2 ~eps:1e-12 ~alive:(Bitset.of_list 8 [ 3 ]) "1 alive" g 1.0;
+  check_lambda2 ~eps:1e-6 ~alive:(Bitset.of_list 8 [ 0; 1 ]) "2 adjacent alive" g 2.0
 
 let test_fiedler_separates_barbell () =
   (* the Fiedler vector must place the two cliques on opposite sides *)
@@ -73,9 +107,9 @@ let test_conductance_conversion () =
   check_float "phi to alpha_e lower" 0.1 (Spectral.conductance_to_edge_expansion_lb g 0.1)
 
 let test_isolated_alive_nodes_tolerated () =
-  let g = Graph.of_edges 3 [ (0, 1) ] in
-  let r = Spectral.lambda2 g in
-  check_bool "finite" true (Float.is_finite r.Spectral.lambda2)
+  (* an edge plus an isolated node: the isolated lambda = 1 row tops
+     the deflated spectrum {0, 1} *)
+  check_lambda2 ~eps:1e-6 "edge + isolated node" (Graph.of_edges 3 [ (0, 1) ]) 1.0
 
 let test_domains_bitwise_identical () =
   (* the parallel matvec splits rows across workers but keeps the
@@ -107,8 +141,10 @@ let () =
       ( "eigenvalues",
         [
           case "cycle lambda2" test_lambda2_cycle;
+          case "hypercube lambda2" test_lambda2_hypercube;
           case "complete lambda2" test_lambda2_complete;
           case "disconnected" test_lambda2_disconnected_is_zero;
+          case "tiny alive sets" test_lambda2_tiny_alive_sets;
         ] );
       ( "structure",
         [

@@ -1,12 +1,13 @@
-(* The spectral backend registry: differential agreement of the Krylov
-   methods against the bit-exact Power reference, seeded determinism
-   and bit-stability across domains, auto-selection policy, and the
-   method-aware entry points (Gview path, warm starts, metrics). *)
+(* The spectral backend registry: differential agreement of Lanczos
+   against the bit-exact Power reference, seeded determinism and
+   bit-stability across domains, auto-selection policy, and the
+   method-aware entry points (Gview path, fused solve, warm starts,
+   metrics). *)
 
 open Fn_expansion
 open Testutil
 
-let krylov_methods = [ Spectral.Method.Lanczos; Spectral.Method.Shift_invert ]
+let krylov_methods = [ Spectral.Method.Lanczos ]
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -109,28 +110,35 @@ let test_auto_selection () =
   check_bool "below threshold stays power" true
     (select ~n_alive:(power_max_nodes - 1) Auto = Power);
   check_bool "large resolves to lanczos" true (select ~n_alive:200_000 Auto = Lanczos);
-  check_bool "collapsed gap hint resolves to shift-invert" true
-    (select ~n_alive:200_000 ~gap_hint:1e-8 Auto = Shift_invert);
-  check_bool "healthy gap hint stays lanczos" true
-    (select ~n_alive:200_000 ~gap_hint:0.1 Auto = Lanczos);
-  check_bool "gap hint ignored at small n" true
-    (select ~n_alive:100 ~gap_hint:1e-8 Auto = Power);
   List.iter
     (fun m ->
       check_bool
         (Printf.sprintf "explicit %s passes through" (to_string m))
         true
         (select ~n_alive:1_000_000 m = m))
-    [ Power; Lanczos; Shift_invert ]
+    [ Power; Lanczos ]
 
-let test_method_names_roundtrip () =
+let test_solve_first_vector_matches_lambda2 () =
+  (* the fused-solve contract: a cold solve's lambda2 and first
+     embedding are the bits lambda2 returns, for every backend and for
+     Auto, with and without an alive mask *)
+  let expander = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 13) ~n:400 ~d:6 in
+  let g, kept = post_prune_case () in
   List.iter
-    (fun m ->
-      match Spectral.Method.of_string (Spectral.Method.to_string m) with
-      | Some m' -> check_bool (Spectral.Method.to_string m ^ " roundtrips") true (m = m')
-      | None -> Alcotest.failf "of_string failed for %s" (Spectral.Method.to_string m))
-    Spectral.Method.all;
-  check_bool "unknown rejected" true (Spectral.Method.of_string "qr" = None)
+    (fun (name, alive, g) ->
+      List.iter
+        (fun m ->
+          let label = Printf.sprintf "%s %s" name (Spectral.Method.to_string m) in
+          let a = Spectral.lambda2 ?alive ~method_:m g in
+          let b, _ = Spectral.solve ?alive ~method_:m g in
+          check_bool (label ^ ": lambda2 bits equal") true
+            (bits_equal a.Spectral.lambda2 b.Spectral.lambda2);
+          check_bool (label ^ ": fiedler bits equal") true
+            (Array.for_all2 bits_equal a.Spectral.fiedler b.Spectral.fiedler);
+          check_int (label ^ ": iterations equal") a.Spectral.iterations
+            b.Spectral.iterations)
+        (Spectral.Method.Auto :: Spectral.Method.Power :: krylov_methods))
+    [ ("expander400", None, expander); ("post-prune", Some kept, g) ]
 
 let test_implicit_view_spectral_path () =
   (* the tentpole's Gview capability: an implicit torus gets the same
@@ -202,10 +210,9 @@ let test_solve_histogram_observes_total () =
   | None -> Alcotest.fail "no spectral.solve exit span recorded"
 
 let test_spectral_cut_domains_matches_default () =
-  (* satellite regression: Sweep.spectral_cut now threads ?domains and
-     ?method_ — domains:1 must equal the default byte for byte, and
-     domains:2 must too (matvec and sweeps are bit-stable across
-     domains) *)
+  (* Sweep.spectral_cut threads ?domains: domains:1 must equal the
+     default byte for byte, and domains:2 must too (matvec and sweeps
+     are bit-stable across domains) *)
   let g = fst (Fn_topology.Mesh.graph [| 16; 16 |]) in
   let base = Sweep.spectral_cut g Cut.Edge in
   List.iter
@@ -215,7 +222,6 @@ let test_spectral_cut_domains_matches_default () =
     [
       ("domains 1", Sweep.spectral_cut ~domains:1 g Cut.Edge);
       ("domains 2", Sweep.spectral_cut ~domains:2 g Cut.Edge);
-      ("explicit power", Sweep.spectral_cut ~method_:Spectral.Method.Power g Cut.Edge);
     ]
 
 let test_warm_gate_rejects_single_vector_drift () =
@@ -289,7 +295,7 @@ let () =
       ( "registry",
         [
           case "auto selection" test_auto_selection;
-          case "method names roundtrip" test_method_names_roundtrip;
+          case "solve first vector matches lambda2" test_solve_first_vector_matches_lambda2;
           case "warm starts method-aware" test_warm_starts_method_aware;
           case "warm gate rejects single-vector drift" test_warm_gate_rejects_single_vector_drift;
           case "histogram observes total iterations" test_solve_histogram_observes_total;
